@@ -606,9 +606,9 @@ def _mpc_fleet_periods(
     """Drive a homogeneous MPC fleet; returns (solves, warm_hits).
 
     The set point is reachable under the rate limit (unlike the
-    deliberately saturating ``mpc_solve`` plant): an infeasible terminal
-    would push every member through the scalar softening/SLSQP path and
-    time SciPy instead of the stacked-RHS kernel in both arms.
+    deliberately saturating ``mpc_solve`` plant): a certified-infeasible
+    terminal sends its member through the scalar softened solve, which
+    would time that path instead of the stacked-RHS kernel in both arms.
     """
     model = ARXModel(
         a=[0.4], b=[[-800.0, -300.0, -500.0], [-100.0, -50.0, -80.0]], g=1800.0

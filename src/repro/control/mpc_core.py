@@ -7,10 +7,11 @@ period (its Eq. 2 cost, Eq. 4 terminal constraint) for any ARX model:
 
 subject to actuator bounds on the resulting absolute inputs, an optional
 aggregate-capacity cap, and the terminal equality ``t(k+M|k) = Ts``.
-When the terminal equality makes the QP infeasible (the set point is not
-reachable within M steps under the bounds), it is automatically softened
-into a large quadratic penalty — the standard practical treatment — and
-the solution is flagged accordingly.
+When the QP solver certifies that the terminal equality is infeasible
+(the set point is not reachable within M steps under the bounds), it is
+softened into a large quadratic penalty — the standard practical
+treatment — and the solution is flagged accordingly.  A reachable set
+point always keeps the equality hard.
 """
 
 from __future__ import annotations
@@ -46,7 +47,7 @@ class MPCConfig:
         Enforce t(k+M|k) = Ts as a hard equality (paper Eq. 4).
     terminal_soft_weight:
         Penalty weight used when the hard terminal equality is
-        infeasible under the actuator bounds.
+        certified infeasible under the actuator bounds.
     delta_max:
         Optional per-period rate limit on each input change,
         ``|dc_j| <= delta_max`` (GHz).  Damps limit cycles on plants
@@ -63,8 +64,10 @@ class MPCConfig:
         Seed each QP's initial working set from the previous period's
         optimal active set (receding-horizon warm start).  The optimum
         is unchanged — only the iteration count drops — but the solver
-        may settle on a different (equivalent) working set in degenerate
-        cases, so disable for bit-exact reproduction of cold solves.
+        may assemble the final working set in a different row order (or
+        settle on an equivalent one in degenerate cases), which moves
+        the last bits; disable for bit-exact reproduction of cold
+        solves.
     """
 
     prediction_horizon: int = 8
@@ -107,7 +110,8 @@ class MPCSolution:
     ``delta_c`` is the first input change (applied to the system);
     ``input_trajectory`` has shape ``(M, m)``; ``predicted_outputs`` are
     t(k+1..k+P | k); ``terminal_softened`` reports whether the hard
-    terminal equality had to be relaxed.
+    terminal equality had to be relaxed (its QP was certified
+    infeasible).
     """
 
     delta_c: np.ndarray
@@ -444,9 +448,9 @@ class MPCController:
             if result.warm_started:
                 self.warm_hits += 1
             if not result.ok:
-                softened = True
+                softened = True  # certified infeasible
             else:
-                if warm_on and result.status == "optimal":
+                if warm_on:
                     self._warm_active[("hard", has_cap)] = result.active_set
                 return self._package(result, phi, psi, c_now, softened=False)
         # Soft terminal (or no terminal): add W * (t(k+M|k) - Ts)^2.
@@ -462,7 +466,7 @@ class MPCController:
         )
         if result.warm_started:
             self.warm_hits += 1
-        if warm_on and result.status == "optimal":
+        if warm_on and result.ok:
             self._warm_active[("soft", has_cap)] = result.active_set
         if not result.ok:
             # Bounds themselves inconsistent (shouldn't happen: dc=0 is
@@ -513,15 +517,16 @@ def solve_mpc_batch(
 
     Batching pays off for homogeneous fleets (controllers still on the
     same identified model, e.g. before per-app RLS estimates diverge, or
-    synthetic sweeps); controllers that group alone fall back to the
-    scalar :meth:`MPCController.solve`, as do softened/degenerate
-    members of a batch.  Results are *allclose* to, not bit-identical
-    with, sequential scalar solves (multi-RHS LAPACK) — golden-hash
-    pipelines must keep calling :meth:`MPCController.solve`.
+    synthetic sweeps); controllers that group alone take the scalar
+    :meth:`MPCController.solve`.  A member whose hard-terminal QP the
+    batch certifies infeasible solves its softened QP on its own with
+    :func:`repro.control.qp.solve_qp`.  Results are *allclose* to, not
+    bit-identical with, sequential scalar solves (multi-RHS LAPACK) —
+    golden-hash pipelines must keep calling :meth:`MPCController.solve`.
 
     ``stats``, when given a dict, receives grouping telemetry:
     ``groups`` (member count per group, descending), ``scalar`` (how
-    many members fell back to a scalar solve), ``softened``.
+    many members took the scalar solve), ``softened``.
 
     Returns the list of :class:`MPCSolution` in request order.
     """
@@ -589,14 +594,14 @@ def solve_mpc_batch(
                 n_warm += 1
             psi = asm["cache"]["psi"]
             if res.ok:
-                if cfg.warm_start and res.status == "optimal":
+                if cfg.warm_start:
                     ctrl._warm_active[("hard", has_cap)] = res.active_set
                 results[i] = ctrl._package(
                     res, asm["phi"], psi, asm["c_now"], softened=False
                 )
                 continue
-            # Hard terminal infeasible for this member: soften it alone
-            # (the scalar treatment; softening is rare, so no batch).
+            # Hard terminal certified infeasible for this member: soften
+            # it alone, exactly as the scalar path does.
             n_soft += 1
             M = cfg.control_horizon
             w = cfg.terminal_soft_weight
@@ -614,7 +619,7 @@ def solve_mpc_batch(
             )
             if res2.warm_started:
                 ctrl.warm_hits += 1
-            if cfg.warm_start and res2.status == "optimal":
+            if cfg.warm_start and res2.ok:
                 ctrl._warm_active[("soft", has_cap)] = res2.active_set
             if not res2.ok:
                 res2 = QPResult(

@@ -6,6 +6,8 @@ with CPU time (``cpu_s``) and the net change in allocated memory
 blocks (``alloc_blocks``).  This module reduces those spans to a
 per-phase profile: invocation count, wall/CPU totals, mean/max wall
 time, allocation churn, and each phase's share of total kernel time.
+The final metrics snapshot adds the control layer's QP outcomes: solves
+per status and KKT systems per solve.
 
 Exact despite sampling: when the run's tracer sampled span *records*
 (``span_sample_every > 1``) the per-record aggregates undercount, but
@@ -27,6 +29,7 @@ from repro.util.tables import format_table
 __all__ = ["profile_events", "profile_jsonl", "render_profile"]
 
 _PREFIX = "phase."
+_QP_STATUS = "qp.status."
 
 
 def profile_events(records: List[dict]) -> dict:
@@ -118,10 +121,28 @@ def profile_events(records: List[dict]) -> dict:
         "total_wall_s": total_wall,
         "per_pod": dict(sorted(per_pod.items())),
         "fleet": fleet,
+        "qp": _qp_outcomes(msnap),
         "sampled": any(
             e["exact"] and e["sampled_records"] < e["count"]
             for e in phases.values()
         ),
+    }
+
+
+def _qp_outcomes(metrics: dict) -> dict:
+    """QP solves by outcome (``qp.status.*`` counters) and the
+    ``qp.iterations`` histogram; empty when the run solved no QP."""
+    counters = metrics.get("counters") or {}
+    status = {
+        name[len(_QP_STATUS):]: float(value)
+        for name, value in sorted(counters.items())
+        if name.startswith(_QP_STATUS)
+    }
+    if not status:
+        return {}
+    return {
+        "status": status,
+        "iterations": (metrics.get("histograms") or {}).get("qp.iterations", {}),
     }
 
 
@@ -205,4 +226,22 @@ def render_profile(profile: dict, title: str = "kernel phase profile") -> str:
             fleet_rows,
             title="Fleet control grouping (controller.batch_* metrics)",
         )
+    qp = profile.get("qp")
+    if qp:
+        total = sum(qp["status"].values())
+        iters = qp.get("iterations") or {}
+        qp_rows = [
+            [status, int(count), f"{count / total:.1%}"]
+            for status, count in qp["status"].items()
+        ]
+        out += "\n\n" + format_table(
+            ["status", "solves", "share"],
+            qp_rows,
+            title="QP outcomes (qp.status.* counters)",
+        )
+        if iters.get("count"):
+            out += (
+                f"\nKKT systems per solve (qp.iterations): mean "
+                f"{float(iters['mean']):.2f}, max {float(iters['max']):.0f}"
+            )
     return out + note

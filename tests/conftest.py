@@ -4,6 +4,7 @@ from __future__ import annotations
 
 import numpy as np
 import pytest
+from hypothesis import strategies as st
 
 from repro.control.arx import ARXModel
 from repro.core.optimizer.types import PlacementProblem, ServerInfo, VMInfo
@@ -79,3 +80,42 @@ def check_plan_feasible(problem: PlacementProblem, plan) -> None:
         assert mem <= server.memory_mb + 1e-9, (
             f"{sid} memory overcommitted: {mem} > {server.memory_mb}"
         )
+
+
+def mpc_shaped_qp(data):
+    """Draw ``(H, g, A_eq, b_eq, A_ub, b_ub)`` with the response-time
+    MPC's structure (see ``repro.control.mpc_core``):
+    cumulative input-bound rows per step, an optional aggregate-cap row
+    per step, optional rate rows, and the dense terminal equality."""
+    m = data.draw(st.integers(1, 3), label="inputs")
+    M = data.draw(st.integers(1, 4), label="control horizon")
+    has_cap = data.draw(st.booleans(), label="cap")
+    has_rate = data.draw(st.booleans(), label="rate")
+    rng = np.random.default_rng(data.draw(st.integers(0, 2**32 - 1)))
+    n = M * m
+    P = M + int(rng.integers(0, 6))
+    gain = rng.uniform(100.0, 3000.0)
+    psi = -gain * np.abs(rng.normal(size=(P, n))) * (rng.random((P, n)) < 0.8)
+    H = 2.0 * psi.T @ psi + 2.0 * 10 ** rng.uniform(0.0, 5.0) * np.eye(n)
+    c_now = rng.uniform(0.1, 3.0, size=m)
+    cap = rng.uniform(0.5, 3.0) * m
+    rows, rhs = [], []
+    cum = np.zeros((m, n))
+    for i in range(M):
+        cum[:, i * m:(i + 1) * m] = np.eye(m)
+        rows += [cum.copy(), -cum]
+        rhs += [3.0 - c_now, c_now - 0.1]
+        if has_cap:
+            rows.append(cum.sum(axis=0, keepdims=True))
+            rhs.append([cap - c_now.sum()])
+    if has_rate:
+        delta = rng.uniform(0.01, 0.5)
+        rows += [np.eye(n), -np.eye(n)]
+        rhs += [np.full(n, delta)] * 2
+    A_ub = np.vstack(rows)
+    b_ub = np.concatenate([np.atleast_1d(r) for r in rhs])
+    phi = rng.uniform(200.0, 3000.0, size=P)
+    g = 2.0 * psi.T @ (phi - 1000.0)
+    A_eq = psi[M - 1:M].copy()
+    b_eq = np.array([1000.0 - phi[M - 1]])
+    return H, g, A_eq, b_eq, A_ub, b_ub

@@ -10,11 +10,14 @@ import copy
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from repro.control.arx import ARXModel
 from repro.control.mpc_core import MPCConfig, MPCController, solve_mpc_batch
 from repro.control.qp import solve_qp, solve_qp_batch
 from repro.sysid.rls import RecursiveARXEstimator, rls_update_batch
+from tests.conftest import mpc_shaped_qp
 
 
 def _spd(rng, n):
@@ -69,6 +72,37 @@ class TestSolveQpBatch:
         for c, w in zip(cold, warm):
             np.testing.assert_allclose(w.x, c.x, atol=1e-7)
             assert w.warm_started or not c.active_set
+
+    @settings(max_examples=30, deadline=None)
+    @given(data=st.data())
+    def test_mpc_shaped_batch_matches_scalar(self, data):
+        """Feasible and certified-infeasible members side by side: the
+        batch reproduces each scalar solve's status, and its optimum."""
+        H, g, A_eq, b_eq, A_ub, b_ub = mpc_shaped_qp(data)
+        rng = np.random.default_rng(data.draw(st.integers(0, 2**32 - 1)))
+        B = 6
+        g_b = g * rng.uniform(0.5, 1.5, size=(B, 1))
+        b_eq_b = b_eq + rng.normal(0.0, 100.0, size=(B, 1))
+        b_ub_b = np.tile(b_ub, (B, 1))
+        warm = data.draw(st.booleans())
+        seeds = [
+            solve_qp(H, g_b[i], A_eq, b_eq_b[i], A_ub, b_ub_b[i]).active_set
+            if warm else None
+            for i in range(B)
+        ]
+        batch = solve_qp_batch(
+            H, g_b, A_eq, b_eq_b, A_ub, b_ub_b, warm_starts=seeds
+        )
+        for i, res in enumerate(batch):
+            ref = solve_qp(
+                H, g_b[i], A_eq, b_eq_b[i], A_ub, b_ub_b[i], warm_start=seeds[i]
+            )
+            assert res.status == ref.status
+            assert res.warm_started == ref.warm_started
+            if ref.ok:
+                np.testing.assert_allclose(
+                    res.x, ref.x, rtol=0, atol=1e-7 * (1.0 + np.abs(ref.x).max())
+                )
 
     def test_shape_validation(self):
         H = np.eye(3)

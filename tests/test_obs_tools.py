@@ -232,6 +232,30 @@ class TestProfile:
         text = render_profile(profile_events([]))
         assert "was telemetry enabled" in text
 
+    def test_qp_outcome_section(self):
+        records = [
+            self._span("control", 0.02),
+            {"kind": "metrics", "metrics": {
+                "counters": {
+                    "qp.status.infeasible": 3.0,
+                    "qp.status.optimal": 9.0,
+                    "manager.control_steps": 4.0,
+                },
+                "histograms": {"qp.iterations": {
+                    "count": 12.0, "sum": 48.0, "mean": 4.0,
+                    "min": 1.0, "max": 9.0,
+                }},
+            }},
+        ]
+        profile = profile_events(records)
+        assert profile["qp"]["status"] == {"infeasible": 3.0, "optimal": 9.0}
+        assert profile["qp"]["iterations"]["max"] == 9.0
+        text = render_profile(profile)
+        assert "QP outcomes" in text
+        assert "75.0%" in text  # optimal share
+        assert "mean 4.00, max 9" in text
+        assert profile_events([self._span("control", 0.02)])["qp"] == {}
+
     def test_fleet_grouping_section(self):
         records = [
             self._span("control", 0.02),

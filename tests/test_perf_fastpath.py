@@ -7,9 +7,8 @@ Pins the three hot-path optimizations to their correctness contracts:
   the simulators reproduce event logs and aggregates captured on the
   pre-fast-lane revision, bit for bit.
 * **QP warm starting** — a warm-started solve agrees with the cold
-  solve on the same problem (objective within 1e-9), survives garbage
-  and inconsistent seeds, and degrades to the SciPy fallback exactly
-  like a cold solve.
+  solve on the same problem (objective within 1e-9), and survives
+  garbage, inconsistent, stale and out-of-range seeds.
 * **MPC matrix caching** — cached prediction/Hessian matrices are
   bitwise equal to freshly derived ones, and solutions are unchanged.
 * **Incremental packing** — incumbent seeding never worsens a search,
@@ -49,8 +48,10 @@ def _eventlog_hash(records):
     return digest, len(events)
 
 
-# Captured on the pre-fast-lane revision (seed of this PR); the fast
-# lanes must not move any of these.
+# Captured on the pre-fast-lane revision; the fast lanes must not move
+# any of these.  _TB_GOLDEN was re-pinned when the QP solver began
+# certifying infeasibility: one hard-terminal QP of this run is feasible
+# (LP margin 1.5e-3) but was softened by the iteration-budget solver.
 _LS_GOLDEN = {
     "energy_wh": 13631.487937070524,
     "migrations": 3,
@@ -60,9 +61,9 @@ _LS_GOLDEN = {
     "n_events": 107,
 }
 _TB_GOLDEN = {
-    "eventlog_sha": "a4ae4a9006785b8e0898af5df2bc1ff973350d82380b8d0b5be7c122018478fc",
+    "eventlog_sha": "f4d846b5039ed819c347ae0fb37b9ca2db5a2a4c7f0f18de749246392526bd1e",
     "n_events": 25,
-    "power_mean": 169.79611818874358,
+    "power_mean": 169.7860277744788,
 }
 
 
@@ -207,21 +208,25 @@ class TestQPWarmStart:
         assert not res.warm_started
         assert res.x == pytest.approx([1.0, 0.0])
 
-    @settings(max_examples=15, deadline=None)
+    @settings(max_examples=25, deadline=None)
     @given(data=st.data())
-    def test_scipy_fallback_path_with_warm_seed(self, data):
+    def test_stale_or_out_of_range_seed_reaches_cold_optimum(self, data):
         n = data.draw(st.integers(2, 4))
         H, g, A_ub, b_ub = _box_qp(data, n)
-        exact = solve_qp(H, g, A_ub=A_ub, b_ub=b_ub)
-        # max_iter=1 cannot settle an active set; warm or cold, the
-        # solve must still produce the optimum via the SciPy fallback.
-        starved = solve_qp(
-            H, g, A_ub=A_ub, b_ub=b_ub, max_iter=1, warm_start=[0]
+        cold = solve_qp(H, g, A_ub=A_ub, b_ub=b_ub)
+        # A seed from some other problem: any rows, repeats, and
+        # indices past either end of the constraint list.
+        seed = data.draw(
+            st.lists(st.integers(-3, 2 * n + 3), min_size=1, max_size=2 * n + 2)
         )
-        assert starved.ok
-        assert _objective(H, g, starved.x) == pytest.approx(
-            _objective(H, g, exact.x), abs=1e-6
+        warm = solve_qp(H, g, A_ub=A_ub, b_ub=b_ub, warm_start=seed)
+        assert warm.status == "optimal"
+        # The working sets may differ where a bound is met with a zero
+        # multiplier; the optimum may not.
+        assert _objective(H, g, warm.x) == pytest.approx(
+            _objective(H, g, cold.x), abs=1e-9
         )
+        np.testing.assert_allclose(warm.x, cold.x, rtol=0, atol=1e-9)
 
 
 class TestMPCFastLane:

@@ -25,7 +25,7 @@ from repro.service.store import ResultsStore
 from repro.service.sweep import apply_overrides, expand_grid
 
 # Same pin as tests/test_scenarios.py / tests/test_perf_fastpath.py.
-_TB_SMALL_SHA = "a4ae4a9006785b8e0898af5df2bc1ff973350d82380b8d0b5be7c122018478fc"
+_TB_SMALL_SHA = "f4d846b5039ed819c347ae0fb37b9ca2db5a2a4c7f0f18de749246392526bd1e"
 
 
 def _oneshot_hash(spec_doc):
