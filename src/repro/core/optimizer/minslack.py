@@ -59,8 +59,10 @@ def select_vms_for_server(
     epsilon after escalations).  Telemetry: traced as the
     ``minslack.search`` span; nodes expanded and epsilon escalations
     accumulate into the ``minslack.nodes`` / ``minslack.eps_escalations``
-    counters.  The branch-and-bound inner loop itself stays
-    uninstrumented — effort is read off :class:`MBSResult` afterwards.
+    counters, and searches that used up at least one step budget
+    (``steps >= max_steps``) into ``minslack.budget_hits``.  The
+    branch-and-bound inner loop itself stays uninstrumented — effort is
+    read off :class:`MBSResult` afterwards.
     """
     config = config or MinSlackConfig()
     if free_capacity_ghz < 0:
@@ -96,5 +98,7 @@ def select_vms_for_server(
         tel.count("minslack.searches")
         tel.count("minslack.nodes", result.steps)
         tel.count("minslack.eps_escalations", result.steps // config.max_steps)
+        if result.steps >= config.max_steps:
+            tel.count("minslack.budget_hits")
     chosen = [candidates[i] for i in result.selected]
     return chosen, result

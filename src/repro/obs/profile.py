@@ -6,8 +6,9 @@ with CPU time (``cpu_s``) and the net change in allocated memory
 blocks (``alloc_blocks``).  This module reduces those spans to a
 per-phase profile: invocation count, wall/CPU totals, mean/max wall
 time, allocation churn, and each phase's share of total kernel time.
-The final metrics snapshot adds the control layer's QP outcomes: solves
-per status and KKT systems per solve.
+The final metrics snapshot adds the control layer's QP outcomes (solves
+per status and KKT systems per solve) and the optimizer's Minimum Slack
+effort (searches, nodes, epsilon escalations, step-budget hits).
 
 Exact despite sampling: when the run's tracer sampled span *records*
 (``span_sample_every > 1``) the per-record aggregates undercount, but
@@ -30,6 +31,7 @@ __all__ = ["profile_events", "profile_jsonl", "render_profile"]
 
 _PREFIX = "phase."
 _QP_STATUS = "qp.status."
+_MINSLACK = ("searches", "nodes", "eps_escalations", "budget_hits")
 
 
 def profile_events(records: List[dict]) -> dict:
@@ -122,6 +124,7 @@ def profile_events(records: List[dict]) -> dict:
         "per_pod": dict(sorted(per_pod.items())),
         "fleet": fleet,
         "qp": _qp_outcomes(msnap),
+        "minslack": _minslack_effort(msnap),
         "sampled": any(
             e["exact"] and e["sampled_records"] < e["count"]
             for e in phases.values()
@@ -143,6 +146,17 @@ def _qp_outcomes(metrics: dict) -> dict:
     return {
         "status": status,
         "iterations": (metrics.get("histograms") or {}).get("qp.iterations", {}),
+    }
+
+
+def _minslack_effort(metrics: dict) -> dict:
+    """Minimum Slack ``minslack.*`` counters; empty when the run made no
+    search."""
+    counters = metrics.get("counters") or {}
+    if not counters.get("minslack.searches"):
+        return {}
+    return {
+        name: float(counters.get(f"minslack.{name}", 0.0)) for name in _MINSLACK
     }
 
 
@@ -244,4 +258,18 @@ def render_profile(profile: dict, title: str = "kernel phase profile") -> str:
                 f"\nKKT systems per solve (qp.iterations): mean "
                 f"{float(iters['mean']):.2f}, max {float(iters['max']):.0f}"
             )
+    minslack = profile.get("minslack")
+    if minslack:
+        searches = minslack["searches"]
+        out += "\n\n" + format_table(
+            ["searches", "nodes", "nodes/search", "eps escalations", "budget hits"],
+            [[
+                int(searches),
+                int(minslack["nodes"]),
+                f"{minslack['nodes'] / searches:.1f}",
+                int(minslack["eps_escalations"]),
+                f"{int(minslack['budget_hits'])} ({minslack['budget_hits'] / searches:.1%})",
+            ]],
+            title="Minimum Slack effort (minslack.* counters)",
+        )
     return out + note

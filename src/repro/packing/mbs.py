@@ -17,8 +17,8 @@ thousands cannot hit the interpreter recursion limit.
 
 Fast lane
 ---------
-Two optional accelerations keep the search out of the simulator's
-hot-path profile without changing what it returns:
+Three accelerations keep the search out of the simulator's hot-path
+profile without changing what it returns:
 
 * **Dominance pruning** (``prune=True``): with items visited in
   decreasing-size order, the suffix sum of the remaining sizes is an
@@ -33,6 +33,24 @@ hot-path profile without changing what it returns:
   the same server) instead of from the empty bin.  The seed tightens the
   pruning bound immediately and triggers the epsilon early-exit without
   a single search step when the previous selection is still good enough.
+* **Bulk rejection** (always on for a plain :class:`MemoryConstraint`):
+  once a server's memory is nearly full, every node of the search would
+  walk all remaining candidates and reject each one.  The inlined
+  memory path counts such runs of rejected positions at once instead,
+  with the same result *and* the same step count.  Exactness rests on
+  three facts.  The predicates are monotone in position: once the
+  smallest remaining memory size (a suffix minimum) overflows, every
+  later item does too, and the dominance bound, a non-increasing suffix
+  sum, holds from the prune point on; float addition rounds
+  monotonically, so the very comparison the scalar loop makes bisects
+  to that point.  Nothing the loop reads changes inside a run: the
+  fill, the memory used and the incumbent are constant.  And the run's
+  side effects are replayed in sequence: one ``epsilon`` escalation per
+  multiple of ``max_steps`` crossed, added one at a time so the float
+  sum is bit-identical, and a stop at exactly ``hard_step_cap``.  The
+  generic ``accepts``/``push``/``pop`` path (subclasses, composites, no
+  constraint) still steps one position at a time and is the test oracle
+  for this one.
 """
 
 from __future__ import annotations
@@ -211,8 +229,15 @@ def minimum_bin_slack(
     sizes = np.asarray(primary_sizes, dtype=float)
     if sizes.ndim != 1:
         raise ValueError(f"primary_sizes must be 1-D, got shape {sizes.shape}")
+    # Non-finite input would silently skew the search: a NaN size fails
+    # every fit test, a NaN capacity yields a NaN slack, and an infinite
+    # capacity can never be filled.
+    if not np.all(np.isfinite(sizes)):
+        raise ValueError("primary sizes must be finite (got NaN/inf)")
     if np.any(sizes < 0):
         raise ValueError("primary sizes must be non-negative")
+    if not np.isfinite(capacity):
+        raise ValueError(f"capacity must be finite, got {capacity}")
     if capacity < 0:
         raise ValueError(f"capacity must be >= 0, got {capacity}")
     if epsilon < 0:
@@ -244,18 +269,23 @@ def minimum_bin_slack(
             # The seed already meets the allowed slack: zero search steps.
             return MBSResult(best_sel, float(best_slack), 0, float(epsilon), True, seeded)
 
-    # Sort once; the DFS walks positions in this order.  Python lists
-    # beat NumPy scalar indexing inside the interpreter-bound loop, and
-    # binding them (plus the sizes) to locals keeps the inner loop free
-    # of attribute lookups and allocations.
-    order = sorted(range(n), key=lambda i: -sizes[i])
-    sizes_list = [float(s) for s in sizes]
-    sorted_sizes = [sizes_list[i] for i in order]
+    # Sort once; the DFS walks positions in this order.  A stable sort
+    # of the negated (finite) sizes is decreasing size with ties in
+    # index order.  Python lists beat NumPy scalar indexing inside the
+    # interpreter-bound loop, and binding them (plus the sizes) to
+    # locals keeps the inner loop free of attribute lookups and
+    # allocations.
+    order_arr = np.argsort(-sizes, kind="stable")
+    order = order_arr.tolist()
+    sizes_list = sizes.tolist()
+    sorted_arr = sizes[order_arr]
+    sorted_sizes = sorted_arr.tolist()
     # suffix[pos] = total size of items at positions >= pos: the best
     # case any branch continuing from pos can still add to the bin.
-    suffix = [0.0] * (n + 1)
-    for pos in range(n - 1, -1, -1):
-        suffix[pos] = suffix[pos + 1] + sorted_sizes[pos]
+    # cumsum accumulates sequentially (never pairwise), so each entry
+    # is exactly suffix[pos + 1] + sorted_sizes[pos].
+    suffix = np.cumsum(sorted_arr[::-1])[::-1].tolist()
+    suffix.append(0.0)
 
     steps = 0
     eps_current = float(epsilon)
@@ -264,15 +294,21 @@ def minimum_bin_slack(
     tol = _FIT_TOL
     # A plain MemoryConstraint (the overwhelmingly common case) is
     # inlined: its accept test and running total become local float
-    # arithmetic instead of three bound-method calls per node.  Because
-    # the search keeps push/pop balanced, never touching the object at
-    # all is observationally identical.  Subclasses (overridden hooks)
-    # and composites take the generic protocol path.
+    # arithmetic instead of three bound-method calls per node, and runs
+    # of rejected positions are counted in bulk (module docstring,
+    # "Fast lane").  Because the search keeps push/pop balanced, never
+    # touching the object at all is observationally identical.
+    # Subclasses (overridden hooks) and composites take the generic
+    # protocol path.
     mem_fast = type(constraint) is MemoryConstraint
     if mem_fast:
         mem_sizes = constraint.sizes.tolist()
         mem_cap = constraint.capacity
         mem_used = constraint.used
+        # mem_min[pos] = smallest memory size at positions >= pos.
+        mem_min = np.minimum.accumulate(
+            constraint.sizes[order_arr][::-1]
+        )[::-1].tolist()
         accepts = push = pop = None
     else:
         accepts = constraint.accepts if constraint is not None else None
@@ -294,6 +330,25 @@ def minimum_bin_slack(
                 # the incumbent: dominated branch, cut it.
                 pos = n
                 break
+            if mem_fast and mem_used + mem_min[pos] > mem_cap + tol:
+                # Not even the smallest remaining item fits the memory
+                # left: every position up to the prune point is a
+                # rejection.  Count them as the loop below would, one
+                # step and one escalation check each.
+                end = n
+                if prune:
+                    end = _first_at_most(suffix, used, cap - best_slack + tol, pos + 1, n)
+                run = end - pos
+                if steps + run >= hard_step_cap:
+                    run = max(hard_step_cap - steps, 1)
+                    exhausted = True
+                for _ in range((steps + run) // max_steps - steps // max_steps):
+                    eps_current += epsilon_step
+                steps += run
+                pos += run
+                if exhausted:
+                    break
+                continue
             idx = order[pos]
             size = sorted_sizes[pos]
             pos += 1
@@ -359,6 +414,25 @@ def minimum_bin_slack(
         early_exit=early,
         seeded=seeded,
     )
+
+
+def _first_at_most(
+    values: List[float], base: float, bound: float, lo: int, hi: int
+) -> int:
+    """First position ``q`` in ``[lo, hi)`` with ``base + values[q] <= bound``.
+
+    Returns ``hi`` when there is none.  ``values`` must be non-increasing:
+    float addition rounds monotonically, so the predicate is then false
+    up to some position and true from it on, and bisection finds that
+    position with the very comparison the scalar loop would make.
+    """
+    while lo < hi:
+        mid = (lo + hi) // 2
+        if base + values[mid] <= bound:
+            hi = mid
+        else:
+            lo = mid + 1
+    return lo
 
 
 def _validate_incumbent(

@@ -9,12 +9,15 @@ import math
 
 import pytest
 
+from repro.core.optimizer.minslack import MinSlackConfig, select_vms_for_server
+from repro.core.optimizer.types import make_vm_infos
 from repro.obs import (
     AuditConfig,
     InMemoryBackend,
     JsonlFollower,
     LiveDashboard,
     MetricsRegistry,
+    NullBackend,
     Telemetry,
     audit_events,
     audit_jsonl,
@@ -24,6 +27,7 @@ from repro.obs import (
     prom_line,
     render_audit,
     render_profile,
+    use_telemetry,
     watch,
 )
 
@@ -255,6 +259,52 @@ class TestProfile:
         assert "75.0%" in text  # optimal share
         assert "mean 4.00, max 9" in text
         assert profile_events([self._span("control", 0.02)])["qp"] == {}
+
+    def test_minslack_effort_section(self):
+        records = [
+            self._span("optimize", 0.05),
+            {"kind": "metrics", "metrics": {"counters": {
+                "minslack.searches": 8.0,
+                "minslack.nodes": 30000.0,
+                "minslack.eps_escalations": 9.0,
+                "minslack.budget_hits": 2.0,
+            }}},
+        ]
+        profile = profile_events(records)
+        assert profile["minslack"] == {
+            "searches": 8.0, "nodes": 30000.0,
+            "eps_escalations": 9.0, "budget_hits": 2.0,
+        }
+        text = render_profile(profile)
+        assert "Minimum Slack effort" in text
+        assert "3750.0" in text  # nodes per search
+        assert "2 (25.0%)" in text  # budget hits and their share
+        assert profile_events([self._span("control", 0.02)])["minslack"] == {}
+        assert "Minimum Slack" not in render_profile(
+            profile_events([self._span("control", 0.02)])
+        )
+
+    def test_minslack_budget_hits_counted_only_when_enabled(self):
+        vms = make_vm_infos(
+            [f"vm{i}" for i in range(12)], [0.5] * 12, [1024.0] * 12
+        )
+        # 7.77 GHz cannot be filled by 0.5 GHz VMs: the search runs on
+        # past its budget of 10 steps.
+        config = MinSlackConfig(epsilon_ghz=0.0, max_steps=10, epsilon_step_ghz=1e-6)
+        backend = InMemoryBackend()
+        with use_telemetry(Telemetry(backend)):
+            _, long_run = select_vms_for_server(7.77, 1e6, vms, config)
+            _, short_run = select_vms_for_server(1.0, 1e6, vms, config)
+        assert long_run.steps >= 10 > short_run.steps
+        counters = backend.of_kind("metrics")[-1]["metrics"]["counters"]
+        assert counters["minslack.searches"] == 2.0
+        assert counters["minslack.budget_hits"] == 1.0
+        assert profile_events(backend.records)["minslack"]["budget_hits"] == 1.0
+
+        dark = Telemetry(NullBackend())
+        with use_telemetry(dark, close=False):
+            select_vms_for_server(7.77, 1e6, vms, config)
+        assert "minslack.budget_hits" not in dark.registry.snapshot()["counters"]
 
     def test_fleet_grouping_section(self):
         records = [

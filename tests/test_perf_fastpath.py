@@ -13,11 +13,14 @@ Pins the three hot-path optimizations to their correctness contracts:
   bitwise equal to freshly derived ones, and solutions are unchanged.
 * **Incremental packing** — incumbent seeding never worsens a search,
   replays the previous placement on an unchanged problem, and the
-  pruned search returns the unpruned search's selection.
+  pruned search returns the unpruned search's selection.  The inlined
+  memory path, which counts runs of rejected positions in bulk, agrees
+  with the generic constraint protocol on every result field.
 * **Benchmark harness** — report schema, scale-aware baseline
   comparison, and the merge behavior of the committed report file.
 """
 
+import dataclasses
 import hashlib
 import json
 
@@ -355,6 +358,13 @@ class _RecordingConstraint(MemoryConstraint):
         super().pop(idx)
 
 
+def _assert_same_result(fast, generic):
+    """Every MBSResult field equal, floats included (no tolerance)."""
+    for field in dataclasses.fields(fast):
+        name = field.name
+        assert getattr(fast, name) == getattr(generic, name), name
+
+
 class TestPackingFastLane:
     def test_memory_constraint_rejects_nan_and_inf(self):
         with pytest.raises(ValueError, match="finite"):
@@ -363,6 +373,19 @@ class TestPackingFastLane:
             MemoryConstraint([1.0, float("inf")], 10.0)
         with pytest.raises(ValueError, match="finite"):
             MemoryConstraint([1.0, 2.0], float("nan"))
+
+    @pytest.mark.parametrize(
+        "sizes, capacity",
+        [
+            ([float("nan"), 0.5, 0.4], 1.0),
+            ([float("inf"), 0.5, 0.4], 1.0),
+            ([0.5, 0.4], float("nan")),
+            ([0.5, 0.4], float("inf")),
+        ],
+    )
+    def test_minimum_bin_slack_rejects_nan_and_inf(self, sizes, capacity):
+        with pytest.raises(ValueError, match="finite"):
+            minimum_bin_slack(sizes, capacity)
 
     def test_protocol_balance_and_ordering(self):
         sizes = [4.0, 3.0, 2.0, 1.0]
@@ -393,6 +416,85 @@ class TestPackingFastLane:
         assert fast.selected == generic.selected
         assert fast.slack == generic.slack
         assert fast.steps == generic.steps
+
+    @settings(max_examples=150, deadline=None)
+    @given(data=st.data())
+    def test_inlined_memory_path_matches_generic_protocol(self, data):
+        # The inlined MemoryConstraint path counts runs of rejected
+        # positions in bulk; the generic accepts/push/pop path (taken by
+        # any subclass) steps through them one at a time.  Memory binds a
+        # few items deep, so most steps fall in such runs, and the step
+        # budget, the hard cap and the prune point land inside them.
+        n = data.draw(st.integers(1, 40), label="n")
+        sizes = data.draw(
+            st.lists(st.floats(0.01, 1.0), min_size=n, max_size=n), label="sizes"
+        )
+        classes = data.draw(
+            st.lists(
+                st.sampled_from([256.0, 512.0, 768.0, 1024.0, 1536.0, 2048.0]),
+                min_size=2, max_size=4, unique=True,
+            ),
+            label="memory classes",
+        )
+        mems = data.draw(
+            st.lists(st.sampled_from(classes), min_size=n, max_size=n), label="mems"
+        )
+        mem_cap = data.draw(st.integers(1, 5), label="depth") * max(classes) + (
+            data.draw(st.sampled_from([0.0, 100.0]), label="mem slack")
+        )
+        capacity = data.draw(st.floats(0.5, max(0.5, 0.8 * sum(sizes))), label="cap")
+        kwargs = dict(
+            epsilon=data.draw(st.sampled_from([0.0, 0.01, 0.1]), label="eps"),
+            max_steps=data.draw(st.integers(1, 50), label="max_steps"),
+            epsilon_step=data.draw(st.sampled_from([None, 1e-3, 0.05]), label="eps_step"),
+            prune=data.draw(st.booleans(), label="prune"),
+        )
+        if data.draw(st.booleans(), label="seeded"):
+            kwargs["incumbent"] = data.draw(
+                st.lists(st.integers(0, n - 1), max_size=6), label="incumbent"
+            )
+        uncapped = minimum_bin_slack(
+            sizes, capacity, constraint=_RecordingConstraint(mems, mem_cap), **kwargs
+        )
+        kwargs["hard_step_cap"] = data.draw(
+            st.one_of(st.none(), st.integers(1, max(1, uncapped.steps))), label="cap_at"
+        )
+        generic_cons = _RecordingConstraint(mems, mem_cap)
+        generic = minimum_bin_slack(sizes, capacity, constraint=generic_cons, **kwargs)
+        fast = minimum_bin_slack(
+            sizes, capacity, constraint=MemoryConstraint(mems, mem_cap), **kwargs
+        )
+        _assert_same_result(fast, generic)
+        assert generic_cons.used == 0.0
+
+    @pytest.mark.parametrize("hard_step_cap", [None, 4321])
+    def test_paper_pod_call_reaches_budget_with_identical_results(self, hard_step_cap):
+        # Shaped like one server's call in a sharded-paper pod: ~2,000
+        # candidates with memory classes (512, 1024, 1536, 2048) MB, a
+        # 16 GB server and the large-scale Minimum Slack settings.  The
+        # search runs past max_steps, so the budget escalates epsilon.
+        rng = np.random.default_rng(2)
+        n = 2000
+        cpu = rng.uniform(0.035, 0.77, size=n)
+        mems = rng.choice((512.0, 1024.0, 1536.0, 2048.0), size=n)
+        kwargs = dict(epsilon=0.1, max_steps=3000, hard_step_cap=hard_step_cap)
+        fast = minimum_bin_slack(
+            cpu, 10.8, constraint=MemoryConstraint(mems, 16384.0), **kwargs
+        )
+        generic = minimum_bin_slack(
+            cpu, 10.8, constraint=_RecordingConstraint(mems, 16384.0), **kwargs
+        )
+        assert fast.steps >= 3000
+        assert fast.epsilon_used > 0.1  # escalated
+        _assert_same_result(fast, generic)
+        if hard_step_cap is None:
+            # Pinned from the search that stepped one position at a time.
+            assert fast.steps == 7956
+            assert fast.early_exit
+            assert len(fast.selected) == 13
+        else:
+            assert fast.steps == hard_step_cap
+            assert not fast.early_exit
 
     @settings(max_examples=40, deadline=None)
     @given(data=st.data())
