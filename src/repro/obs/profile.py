@@ -7,8 +7,10 @@ blocks (``alloc_blocks``).  This module reduces those spans to a
 per-phase profile: invocation count, wall/CPU totals, mean/max wall
 time, allocation churn, and each phase's share of total kernel time.
 The final metrics snapshot adds the control layer's QP outcomes (solves
-per status and KKT systems per solve) and the optimizer's Minimum Slack
-effort (searches, nodes, epsilon escalations, step-budget hits).
+per status and KKT systems per solve), the optimizer's Minimum Slack
+effort (searches, nodes, epsilon escalations, step-budget hits) and the
+request-level DES plant's work (``des.run_until`` calls, events
+dispatched, events per call, wall time).
 
 Exact despite sampling: when the run's tracer sampled span *records*
 (``span_sample_every > 1``) the per-record aggregates undercount, but
@@ -125,6 +127,7 @@ def profile_events(records: List[dict]) -> dict:
         "fleet": fleet,
         "qp": _qp_outcomes(msnap),
         "minslack": _minslack_effort(msnap),
+        "des": _des_plant(msnap),
         "sampled": any(
             e["exact"] and e["sampled_records"] < e["count"]
             for e in phases.values()
@@ -157,6 +160,20 @@ def _minslack_effort(metrics: dict) -> dict:
         return {}
     return {
         name: float(counters.get(f"minslack.{name}", 0.0)) for name in _MINSLACK
+    }
+
+
+def _des_plant(metrics: dict) -> dict:
+    """DES plant work from the ``des.events`` counter and the
+    ``span.des.run_until`` histogram; empty when no DES ran."""
+    hist = (metrics.get("histograms") or {}).get("span.des.run_until") or {}
+    calls = float(hist.get("count", 0.0))
+    if not calls:
+        return {}
+    return {
+        "calls": calls,
+        "events": float((metrics.get("counters") or {}).get("des.events", 0.0)),
+        "wall_s": float(hist.get("sum", 0.0)),
     }
 
 
@@ -271,5 +288,18 @@ def render_profile(profile: dict, title: str = "kernel phase profile") -> str:
                 f"{int(minslack['budget_hits'])} ({minslack['budget_hits'] / searches:.1%})",
             ]],
             title="Minimum Slack effort (minslack.* counters)",
+        )
+    des = profile.get("des")
+    if des:
+        calls = des["calls"]
+        out += "\n\n" + format_table(
+            ["calls", "events", "events/call", "wall s"],
+            [[
+                int(calls),
+                int(des["events"]),
+                f"{des['events'] / calls:.1f}",
+                f"{des['wall_s']:.3f}",
+            ]],
+            title="DES plant (des.events counter, span.des.run_until histogram)",
         )
     return out + note

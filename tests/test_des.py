@@ -154,6 +154,67 @@ class TestEventsAndProcesses:
         with pytest.raises(ValueError):
             sim.process(proc())
 
+    @pytest.mark.parametrize(
+        "delay", [-1.0, -1e-300, math.nan, math.inf, -math.inf, -1, np.float64(math.nan)]
+    )
+    def test_process_rejects_invalid_delays_mid_run(self, delay):
+        # The first yield is valid; the bad one comes from a resumed
+        # process inside run_until, after the plain-float fast path has
+        # already scheduled once.
+        sim = Simulator()
+        def proc():
+            yield 0.5
+            yield delay
+        p = sim.process(proc())
+        with pytest.raises(ValueError, match="invalid delay"):
+            sim.run_until(1.0)
+        assert not p.finished.triggered
+        assert sim.live_event_count == 0
+
+    @pytest.mark.parametrize(
+        "delay", [2, np.float64(2.0), np.float32(2.0), np.int64(2), True]
+    )
+    def test_process_non_float_delay_matches_float(self, delay):
+        def resume_times(first):
+            sim = Simulator()
+            log = []
+            def proc():
+                yield 0.25
+                yield first
+                log.append(sim.now)
+                yield 0.5
+                log.append(sim.now)
+            sim.process(proc())
+            sim.run()
+            return log, sim._seq
+
+        assert resume_times(delay) == resume_times(float(delay))
+
+    def test_process_zero_delay_resumes_at_same_time(self):
+        sim = Simulator()
+        log = []
+        def proc():
+            yield 1.0
+            yield 0.0
+            log.append(sim.now)
+        sim.process(proc())
+        sim.run()
+        assert log == [1.0]
+
+    def test_event_fires_every_callback_in_order(self):
+        sim = Simulator()
+        got = []
+        one, many = sim.event(), sim.event()
+        one.on_success(lambda v: got.append(("one", v)))
+        for tag in ("a", "b", "c"):
+            many.on_success(lambda v, tag=tag: got.append((tag, v)))
+        one.succeed(1)
+        many.succeed(2)
+        assert got == [("one", 1), ("a", 2), ("b", 2), ("c", 2)]
+        # Subscribing after the fact fires at once, exactly once.
+        one.on_success(lambda v: got.append(("late", v)))
+        assert got[-1] == ("late", 1) and len(got) == 5
+
     def test_timeout_event(self):
         sim = Simulator()
         ev = sim.timeout(2.0)

@@ -7,8 +7,10 @@ plus a couple of CLI-level smokes pinning exit-code semantics.
 import json
 import math
 
+import numpy as np
 import pytest
 
+from repro.apps.rubbos import AppSpec, MultiTierApp
 from repro.core.optimizer.minslack import MinSlackConfig, select_vms_for_server
 from repro.core.optimizer.types import make_vm_infos
 from repro.obs import (
@@ -283,6 +285,41 @@ class TestProfile:
         assert "Minimum Slack" not in render_profile(
             profile_events([self._span("control", 0.02)])
         )
+
+    def test_des_plant_section(self):
+        records = [
+            self._span("sense", 0.05),
+            {"kind": "metrics", "metrics": {
+                "counters": {"des.events": 12000.0},
+                "histograms": {"span.des.run_until": {
+                    "count": 40.0, "sum": 0.6, "mean": 0.015,
+                    "min": 0.01, "max": 0.02,
+                }},
+            }},
+        ]
+        profile = profile_events(records)
+        assert profile["des"] == {"calls": 40.0, "events": 12000.0, "wall_s": 0.6}
+        text = render_profile(profile)
+        assert "DES plant" in text
+        assert "300.0" in text  # events per call
+        assert "0.600" in text  # wall seconds
+        assert profile_events([self._span("control", 0.02)])["des"] == {}
+        assert "DES plant" not in render_profile(
+            profile_events([self._span("control", 0.02)])
+        )
+
+    def test_des_plant_section_from_a_traced_plant(self):
+        backend = InMemoryBackend()
+        with use_telemetry(Telemetry(backend)):
+            app = MultiTierApp(
+                AppSpec.rubbos(), concurrency=5, rng=np.random.default_rng(3)
+            )
+            app.warmup(5.0)
+            for _ in range(3):
+                app.run_period(5.0)
+        des = profile_events(backend.records)["des"]
+        assert des["calls"] == 4.0
+        assert des["events"] > 0 and des["wall_s"] > 0.0
 
     def test_minslack_budget_hits_counted_only_when_enabled(self):
         vms = make_vm_infos(
