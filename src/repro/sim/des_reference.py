@@ -17,13 +17,20 @@ original, obviously-correct implementations around for two jobs:
 Nothing here should be "improved" — it is the frozen baseline.  The
 classes subclass / interoperate with :mod:`repro.sim.des` types
 (:class:`~repro.sim.des.SimEvent`, :class:`~repro.sim.des.EventHandle`)
-so application code is kernel-agnostic.
+so application code is kernel-agnostic.  Everything the fast kernel
+changed is kept here in its original form: the event loop, ``schedule``,
+the per-callback ``SimEvent.succeed`` loop and ``Process`` stepping
+(every yielded delay through ``float`` + ``Simulator.schedule``).  Only
+unchanged plumbing is inherited (``EventHandle``, ``peek``/``step``,
+``SimEvent.on_success``), so the equivalence tests compare two
+independent implementations of every code path the fast kernel touched.
 """
 
 from __future__ import annotations
 
+import heapq
 import math
-from typing import Dict, List, Optional
+from typing import Callable, Dict, Generator, List, Optional
 
 from repro.obs import get_telemetry
 from repro.sim.des import EventHandle, SimEvent, Simulator
@@ -31,12 +38,83 @@ from repro.sim.des import EventHandle, SimEvent, Simulator
 __all__ = ["ReferenceSimulator", "ReferencePSResource"]
 
 
+class _ReferenceSimEvent(SimEvent):
+    """``SimEvent`` with the original ``succeed``: a fresh list swap and
+    a loop over every callback, whatever their number."""
+
+    __slots__ = ()
+
+    def succeed(self, value=None) -> None:
+        if self.triggered:
+            raise RuntimeError("SimEvent already triggered")
+        self.triggered = True
+        self.value = value
+        callbacks, self._callbacks = self._callbacks, []
+        for fn in callbacks:
+            fn(value)
+
+
+class _ReferenceProcess:
+    """The original generator-driven process (see :class:`repro.sim.des.Process`)."""
+
+    __slots__ = ("sim", "gen", "finished", "_alive")
+
+    def __init__(self, sim: Simulator, gen: Generator):
+        self.sim = sim
+        self.gen = gen
+        self.finished = _ReferenceSimEvent(sim)
+        self._alive = True
+        self._step(None)
+
+    def _step(self, send_value) -> None:
+        if not self._alive:
+            return
+        try:
+            target = self.gen.send(send_value)
+        except StopIteration as stop:
+            self._alive = False
+            self.finished.succeed(stop.value)
+            return
+        if isinstance(target, SimEvent):
+            target.on_success(self._step)
+        else:
+            delay = float(target)
+            if delay < 0 or not math.isfinite(delay):
+                self._alive = False
+                raise ValueError(f"process yielded invalid delay {target!r}")
+            self.sim.schedule(delay, self._step, None)
+
+    def interrupt(self) -> None:
+        """Stop the process; its ``finished`` event never fires."""
+        self._alive = False
+        self.gen.close()
+
+
 class ReferenceSimulator(Simulator):
     """The original event loop: ``peek``/``step`` calls per event, no
-    heap compaction (cancelled handles linger until popped)."""
+    heap compaction (cancelled handles linger until popped), and the
+    original ``schedule``, events and processes."""
 
     def _maybe_compact(self) -> None:  # original behavior: never
         pass
+
+    def schedule(self, delay: float, fn: Callable, *args) -> EventHandle:
+        """Original ``schedule``: validate, number, push."""
+        if delay < 0 or not math.isfinite(delay):
+            raise ValueError(f"delay must be finite and >= 0, got {delay}")
+        time = self._now + delay
+        self._seq += 1
+        handle = EventHandle(time, self._seq, fn, args, self)
+        heapq.heappush(self._heap, (time, self._seq, handle))
+        if self._n_cancelled > self.COMPACT_MIN:
+            self._maybe_compact()
+        return handle
+
+    def event(self) -> SimEvent:
+        return _ReferenceSimEvent(self)
+
+    def process(self, gen: Generator) -> _ReferenceProcess:
+        return _ReferenceProcess(self, gen)
 
     def run_until(self, until: float) -> None:
         """Original per-event loop (one ``peek`` + ``step`` call each)."""
